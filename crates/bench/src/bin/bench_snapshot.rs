@@ -13,7 +13,8 @@
 //! (latency percentiles, shed rate, drain time), and a
 //! `governed_overhead` section timing the serial miner ungoverned vs
 //! governed with an infinite budget (the pure cost of the governance
-//! poll points).
+//! poll points). Every engine's rendered output must equal the serial
+//! miner's byte for byte before anything is timed.
 //!
 //! Emits a single JSON object on stdout; `scripts/bench_snapshot.sh`
 //! redirects it into a dated `BENCH_<date>.json`. Timing is hand-rolled
@@ -27,6 +28,7 @@
 use std::time::Instant;
 use tsg_bench::Profile;
 use tsg_datagen::registry::{build, DatasetId};
+use tsg_serve::protocol::render_patterns;
 
 /// CPU model, logical CPU count, and current 1-minute load, so a
 /// snapshot records which machine (and how busy a machine) produced it.
@@ -84,20 +86,24 @@ fn main() {
     let cfg = taxogram_core::TaxogramConfig::with_threshold(0.2).max_edges(5);
     let reps = 15usize;
 
+    // Engine agreement is byte identity of the rendered output (emission
+    // order, supports, labels, edges) against the serial miner's.
+    let reference = render_patterns(
+        &taxogram_core::Taxogram::new(cfg)
+            .mine(&ds.database, &ds.taxonomy)
+            .unwrap()
+            .patterns,
+    );
     let barrier = taxogram_core::mine_parallel(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
     let piped = taxogram_core::mine_pipelined(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
     let stolen =
         taxogram_core::mine_stealing(&cfg, &ds.database, &ds.taxonomy, threads).unwrap();
-    assert_eq!(
-        barrier.patterns.len(),
-        piped.patterns.len(),
-        "engines must agree before a snapshot is worth recording"
-    );
-    assert_eq!(
-        piped.patterns.len(),
-        stolen.patterns.len(),
-        "stealing engine must agree before a snapshot is worth recording"
-    );
+    for (engine, r) in [("barrier", &barrier), ("pipelined", &piped), ("stealing", &stolen)] {
+        assert!(
+            render_patterns(&r.patterns) == reference,
+            "{engine} output must be byte-identical to serial before a snapshot is worth recording"
+        );
+    }
 
     let time_once = |f: &dyn Fn() -> usize| -> f64 {
         let start = Instant::now();
@@ -216,11 +222,12 @@ fn main() {
         &son_opts(1, Some(resident_cap)),
     )
     .unwrap();
-    assert_eq!(
-        capped.result.patterns.len(),
-        piped.patterns.len(),
-        "capped sharded mining must agree before a snapshot is worth recording"
-    );
+    for (engine, r) in [("uncapped sharded", &uncapped), ("capped sharded", &capped)] {
+        assert!(
+            render_patterns(&r.result.patterns) == reference,
+            "{engine} output must be byte-identical to serial before a snapshot is worth recording"
+        );
+    }
     assert!(
         capped.shard_stats.shards >= 10,
         "a tenth-of-footprint cap must split the database into >= 10 shards"
@@ -242,6 +249,10 @@ fn main() {
                 )
                 .unwrap();
                 times.push(start.elapsed().as_nanos() as f64 / 1e6);
+                assert!(
+                    render_patterns(&r.result.patterns) == reference,
+                    "{shards}-shard output must be byte-identical to serial"
+                );
                 largest = r.shard_stats.largest_shard_bytes;
                 actual = r.shard_stats.shards;
             }

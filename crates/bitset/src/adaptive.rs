@@ -74,6 +74,19 @@ impl AdaptiveBitSet {
     pub fn from_scratch(items: &mut Vec<usize>) -> Self {
         items.sort_unstable();
         items.dedup();
+        let set = Self::from_sorted(items);
+        items.clear();
+        set
+    }
+
+    /// Builds a set from members that are already strictly ascending —
+    /// no sort, no dedup. Occurrence indexing fills each label's member
+    /// list in ascending occurrence order, so this is its build path.
+    pub fn from_sorted(items: &[usize]) -> Self {
+        debug_assert!(
+            items.windows(2).all(|w| w[0] < w[1]),
+            "from_sorted needs strictly ascending members"
+        );
         let mut chunks = Vec::new();
         let mut i = 0;
         while i < items.len() {
@@ -89,7 +102,6 @@ impl AdaptiveBitSet {
                 container: Container::from_sorted_span(span),
             });
         }
-        items.clear();
         AdaptiveBitSet { chunks }
     }
 

@@ -127,23 +127,6 @@ pub fn enumerate_class<F: FnMut(EmittedPattern<'_>)>(
     cfg: &Enhancements,
     emit: F,
 ) -> EnumerationStats {
-    enumerate_class_full(skeleton, oi, taxonomy, min_support, db_len, cfg, false, emit)
-}
-
-/// Like [`enumerate_class`], with `keep_overgeneralized` also emitting the
-/// patterns the minimality filter would drop (used by [`crate::son`]).
-#[allow(clippy::too_many_arguments)]
-pub fn enumerate_class_full<F: FnMut(EmittedPattern<'_>)>(
-    skeleton: &LabeledGraph,
-    oi: &OccurrenceIndex,
-    taxonomy: &Taxonomy,
-    min_support: usize,
-    db_len: usize,
-    cfg: &Enhancements,
-    keep_overgeneralized: bool,
-    emit: F,
-) -> EnumerationStats {
-    let mut scratch = EnumScratch::new();
     enumerate_class_scratch(
         skeleton,
         oi,
@@ -151,15 +134,16 @@ pub fn enumerate_class_full<F: FnMut(EmittedPattern<'_>)>(
         min_support,
         db_len,
         cfg,
-        keep_overgeneralized,
-        &mut scratch,
+        false,
+        &mut EnumScratch::new(),
         emit,
     )
 }
 
-/// Like [`enumerate_class_full`], reusing a caller-owned [`EnumScratch`]
-/// across classes — the form the streaming pipeline's workers use so the
-/// hot loop allocates ~nothing after warm-up.
+/// Like [`enumerate_class`], reusing a caller-owned [`EnumScratch`]
+/// across classes — the form every engine uses so the hot loop allocates
+/// ~nothing after warm-up — with `keep_overgeneralized` also emitting the
+/// patterns the minimality filter would drop.
 #[allow(clippy::too_many_arguments)]
 pub fn enumerate_class_scratch<F: FnMut(EmittedPattern<'_>)>(
     skeleton: &LabeledGraph,
@@ -310,7 +294,7 @@ fn has_artificial(taxonomy: &Taxonomy, v: &[NodeLabel]) -> bool {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::oi::{OccurrenceIndex, OiOptions};
+    use crate::oi::{AncestorTable, OccurrenceIndex, OiOptions};
     use crate::relabel::relabel;
     use tsg_gspan::{GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
     use tsg_taxonomy::samples;
@@ -352,8 +336,7 @@ mod tests {
         )
         .mine(&mut grab);
         let skeleton = grab.skeleton.expect("edge class is frequent");
-        let frequent_mask;
-        let frequent = if cfg.prune_infrequent_labels {
+        let frequent = cfg.prune_infrequent_labels.then(|| {
             let freqs = rel.taxonomy.generalized_label_frequencies(&db);
             let mut mask = BitSet::new(rel.taxonomy.concept_count());
             for (i, &f) in freqs.iter().enumerate() {
@@ -361,18 +344,15 @@ mod tests {
                     mask.insert(i);
                 }
             }
-            frequent_mask = mask;
-            Some(&frequent_mask)
-        } else {
-            None
-        };
+            mask
+        });
+        let table = AncestorTable::for_database(&rel.taxonomy, frequent, &rel.originals);
         let oi = OccurrenceIndex::build(
             &grab.embs,
             &rel.originals,
             skeleton.labels(),
-            &rel.taxonomy,
+            &table,
             OiOptions {
-                frequent,
                 contract_equal_sets: cfg.contract_equal_sets,
                 predescend_roots: cfg.predescend_roots,
             },

@@ -1,12 +1,11 @@
 //! The Taxogram pipeline: Step 1 → Step 2 → Step 3.
 
 use crate::config::TaxogramConfig;
-use crate::enumerate::EnumerationStats;
+use crate::enumerate::{EnumScratch, EnumerationStats};
 use crate::error::TaxogramError;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
-use crate::oi::{OccurrenceIndex, OiOptions};
-use crate::relabel::relabel;
-use tsg_bitset::BitSet;
+use crate::oi::OiScratch;
+use crate::pipeline::{enumerate_class, merge_outputs, prepare, ClassOutput, Prepared, Prologue};
 use tsg_graph::{GraphDatabase, LabeledGraph};
 use tsg_gspan::{GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::Taxonomy;
@@ -44,7 +43,8 @@ pub struct MiningStats {
     pub peak_embedding_bytes: usize,
     /// Total occurrences (embeddings) across classes.
     pub occurrences: usize,
-    /// Wall-clock milliseconds spent building occurrence indices.
+    /// Wall-clock milliseconds spent building occurrence indices,
+    /// including the run's ancestor table.
     pub oi_build_ms: f64,
     /// Wall-clock milliseconds spent enumerating specialized patterns.
     pub enumerate_ms: f64,
@@ -142,58 +142,29 @@ impl Taxogram {
         taxonomy: &Taxonomy,
         governor: &Governor,
     ) -> Result<(MiningResult, Termination), TaxogramError> {
-        let theta = self.config.threshold;
-        if !(0.0..=1.0).contains(&theta) || theta.is_nan() {
-            return Err(TaxogramError::InvalidThreshold { theta });
-        }
-        let min_support = db.min_support_count(theta);
-        if db.is_empty() {
-            return Ok((
-                MiningResult {
-                    patterns: Vec::new(),
-                    stats: MiningStats::default(),
-                    min_support_count: min_support,
-                    database_size: 0,
-                },
-                Termination::completed(0),
-            ));
-        }
-
-        // Step 1: relabel with most-general ancestors.
-        let rel = relabel(db, taxonomy)?;
-
-        // Enhancement (b): compute which concepts are generalized-frequent.
-        let frequent_mask = if self.config.enhancements.prune_infrequent_labels {
-            let freqs = rel.taxonomy.generalized_label_frequencies(db);
-            let mut mask = BitSet::new(rel.taxonomy.concept_count());
-            for (i, &f) in freqs.iter().enumerate() {
-                if f >= min_support {
-                    mask.insert(i);
-                }
-            }
-            Some(mask)
-        } else {
-            None
+        // Step 1 (relabel), the frequent-label mask and the ancestor
+        // table: the prologue every engine shares.
+        let prepared = match prepare(&self.config, db, taxonomy)? {
+            Prologue::Done(result) => return Ok((result, Termination::completed(0))),
+            Prologue::Ready(p) => p,
         };
-
         // Steps 2+3 interleaved: each class reported by gSpan is indexed
         // and enumerated immediately, so only one occurrence index is
         // resident at a time.
         let mut sink = ClassSink {
-            rel: &rel,
-            db_len: db.len(),
-            min_support,
+            prepared: &prepared,
             config: &self.config,
-            frequent: frequent_mask.as_ref(),
-            patterns: Vec::new(),
-            stats: MiningStats::default(),
             governor,
             rejected: None,
+            enum_scratch: EnumScratch::new(),
+            oi_scratch: OiScratch::new(),
+            outputs: Vec::new(),
+            peak_oi_bytes: 0,
         };
         GSpan::new(
-            &rel.dmg,
+            &prepared.rel.dmg,
             GSpanConfig {
-                min_support,
+                min_support: prepared.min_support,
                 max_edges: self.config.max_edges,
             },
         )
@@ -202,98 +173,53 @@ impl Taxogram {
         // Classes are admitted in canonical pre-order on this one thread,
         // so at most one class — the rejected one — is ever abandoned,
         // and the output is exactly the first `classes` classes.
+        let classes = sink.outputs.len();
         let rejected = sink.rejected;
         let termination = governor.finish(
-            sink.stats.classes,
+            classes,
             usize::from(rejected.is_some()),
             rejected.into_iter().collect(),
         );
         Ok((
-            MiningResult {
-                patterns: sink.patterns,
-                stats: sink.stats,
-                min_support_count: min_support,
-                database_size: db.len(),
-            },
+            merge_outputs(sink.outputs.into_iter(), classes, &prepared),
             termination,
         ))
     }
 }
 
 struct ClassSink<'a> {
-    rel: &'a crate::relabel::Relabeled,
-    db_len: usize,
-    min_support: usize,
+    prepared: &'a Prepared,
     config: &'a TaxogramConfig,
-    frequent: Option<&'a BitSet>,
-    patterns: Vec<Pattern>,
-    stats: MiningStats,
     governor: &'a Governor,
     /// DFS code of the class rejected at admission, if the run stopped.
     rejected: Option<String>,
+    enum_scratch: EnumScratch,
+    oi_scratch: OiScratch,
+    outputs: Vec<ClassOutput>,
+    /// Largest occurrence index so far: serially one index is resident
+    /// at a time, so this is the engine's true memory high-water mark.
+    peak_oi_bytes: usize,
 }
 
 impl PatternSink for ClassSink<'_> {
     fn report(&mut self, class: &MinedPattern<'_>) -> Grow {
-        // Governance poll point: serially one occurrence index is
-        // resident at a time, so the running `peak_oi_bytes` maximum is
-        // this engine's true memory high-water mark.
-        if !self.governor.admit_class(self.stats.peak_oi_bytes) {
+        // Governance poll point, in serial class order.
+        if !self.governor.admit_class(self.peak_oi_bytes) {
             self.rejected = Some(class.code.to_string());
             return Grow::Stop;
         }
-        self.stats.classes += 1;
-        self.stats.occurrences += class.embeddings.len();
-        let t_oi = std::time::Instant::now();
-        let oi = OccurrenceIndex::build(
+        let out = enumerate_class(
+            class.graph,
             class.embeddings,
-            &self.rel.originals,
-            class.graph.labels(),
-            &self.rel.taxonomy,
-            OiOptions {
-                frequent: self.frequent,
-                contract_equal_sets: self.config.enhancements.contract_equal_sets,
-                predescend_roots: self.config.enhancements.predescend_roots,
-            },
+            self.prepared,
+            self.config,
+            None,
+            &mut self.enum_scratch,
+            &mut self.oi_scratch,
         );
-        self.stats.oi_build_ms += t_oi.elapsed().as_secs_f64() * 1000.0;
-        self.stats.oi_updates += oi.updates;
-        self.stats.peak_oi_bytes = self.stats.peak_oi_bytes.max(oi.heap_bytes());
-        let db_len = self.db_len;
-        let taxonomy = &self.rel.taxonomy;
-        let skeleton = class.graph;
-        let t_enum = std::time::Instant::now();
-        let (patterns, stats) = {
-            let mut emitted: Vec<Pattern> = Vec::new();
-            let s = crate::enumerate::enumerate_class_full(
-                skeleton,
-                &oi,
-                taxonomy,
-                self.min_support,
-                db_len,
-                &self.config.enhancements,
-                self.config.keep_overgeneralized,
-                |p| {
-                    let mut g = skeleton.clone();
-                    for (i, &l) in p.labels.iter().enumerate() {
-                        g.set_label(i, l);
-                    }
-                    emitted.push(Pattern {
-                        graph: g,
-                        support_count: p.support,
-                        support: p.support as f64 / db_len as f64,
-                    });
-                },
-            );
-            (emitted, s)
-        };
-        self.stats.enumerate_ms += t_enum.elapsed().as_secs_f64() * 1000.0;
-        self.stats.enumeration.vectors_visited += stats.vectors_visited;
-        self.stats.enumeration.intersections += stats.intersections;
-        self.stats.enumeration.emitted += stats.emitted;
-        self.stats.enumeration.overgeneralized += stats.overgeneralized;
-        self.governor.add_patterns(patterns.len());
-        self.patterns.extend(patterns);
+        self.peak_oi_bytes = self.peak_oi_bytes.max(out.stats.peak_oi_bytes);
+        self.governor.add_patterns(out.patterns.len());
+        self.outputs.push(out);
         Grow::Continue
     }
 }

@@ -39,7 +39,7 @@ use crate::error::TaxogramError;
 use crate::gauge::MemoryGauge;
 use crate::govern::{GovernOptions, Governor, MiningOutcome, Termination};
 use crate::miner::{MiningResult, MiningStats, Pattern};
-use crate::oi::{OccurrenceIndex, OiOptions, OiScratch};
+use crate::oi::{AncestorTable, OccurrenceIndex, OiOptions, OiScratch};
 use crate::relabel::{relabel, Relabeled};
 use tsg_bitset::BitSet;
 use tsg_graph::{GraphDatabase, LabeledGraph};
@@ -619,7 +619,12 @@ pub(crate) enum Prologue {
 /// Everything Step 3 workers need, computed once per run.
 pub(crate) struct Prepared {
     pub rel: Relabeled,
-    pub frequent_mask: Option<BitSet>,
+    /// Every database label's frequent-filtered reflexive ancestors,
+    /// shared read-only by every worker's index builds.
+    pub ancestors: AncestorTable,
+    /// Milliseconds spent building `ancestors`, charged to
+    /// [`MiningStats::oi_build_ms`].
+    pub ancestors_ms: f64,
     pub min_support: usize,
     pub db_len: usize,
 }
@@ -655,9 +660,13 @@ pub(crate) fn prepare(
     } else {
         None
     };
+    let t_table = std::time::Instant::now();
+    let ancestors = AncestorTable::for_database(&rel.taxonomy, frequent_mask, &rel.originals);
+    let ancestors_ms = t_table.elapsed().as_secs_f64() * 1000.0;
     Ok(Prologue::Ready(Prepared {
         rel,
-        frequent_mask,
+        ancestors,
+        ancestors_ms,
         min_support,
         db_len: db.len(),
     }))
@@ -690,9 +699,8 @@ pub(crate) fn enumerate_class(
         embeddings,
         &prepared.rel.originals,
         skeleton.labels(),
-        &prepared.rel.taxonomy,
+        &prepared.ancestors,
         OiOptions {
-            frequent: prepared.frequent_mask.as_ref(),
             contract_equal_sets: config.enhancements.contract_equal_sets,
             predescend_roots: config.enhancements.predescend_roots,
         },
@@ -748,6 +756,7 @@ pub(crate) fn merge_outputs(
     let mut patterns = Vec::new();
     let mut stats = MiningStats {
         classes,
+        oi_build_ms: prepared.ancestors_ms,
         ..MiningStats::default()
     };
     for out in outputs {

@@ -51,7 +51,7 @@ use crate::error::TaxogramError;
 use crate::gauge::MemoryGauge;
 use crate::govern::{GovernOptions, Governor, Termination, FRONTIER_CAP};
 use crate::miner::{MiningResult, MiningStats};
-use crate::oi::OiScratch;
+use crate::oi::{AncestorTable, OiScratch};
 use crate::pipeline::{
     embedding_heap_bytes, enumerate_class, merge_outputs, panic_message, ClassOutput, Prepared,
 };
@@ -505,7 +505,8 @@ fn mine_impl(
     // Step 3 scaffold on *global* data: the unified taxonomy (database-
     // independent, so identical to every shard's), the summed frequent-
     // label mask, and an originals table filled lazily per batch with
-    // the rows the occurrence indices actually touch.
+    // the rows the occurrence indices actually touch — the ancestor table
+    // grows with it, by the labels of those rows.
     let unified = Arc::new(taxonomy.unify_most_general());
     let frequent_mask = if config.enhancements.prune_infrequent_labels {
         let mut mask = BitSet::new(unified.concept_count());
@@ -522,9 +523,10 @@ fn mine_impl(
         rel: Relabeled {
             dmg: GraphDatabase::new(),
             originals: vec![Vec::new(); db_len],
-            taxonomy: unified,
+            taxonomy: Arc::clone(&unified),
         },
-        frequent_mask,
+        ancestors: AncestorTable::new(&unified, frequent_mask),
+        ancestors_ms: 0.0,
         min_support,
         db_len,
     };
@@ -549,9 +551,12 @@ fn mine_impl(
             (0..batch.len()).map(|_| Vec::new()).collect();
         for slot in slots {
             let shard_out = slot.expect("unstopped scan fills every slot"); // tsg-lint: allow(panic) — unstopped scan fills every slot; stop was checked above
+            let t_table = std::time::Instant::now();
             for (gid, labels) in shard_out.originals {
+                prepared.ancestors.extend(&unified, &labels);
                 prepared.rel.originals[gid] = labels; // tsg-lint: allow(index) — graph ids in shard output index the originals they were scanned from
             }
+            prepared.ancestors_ms += t_table.elapsed().as_secs_f64() * 1000.0;
             // Shard order = ascending graph-id order, the single-pass
             // engines' embedding order.
             for (acc, embeddings) in per_class.iter_mut().zip(shard_out.per_class) {

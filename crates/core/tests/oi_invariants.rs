@@ -1,16 +1,27 @@
 //! Structural invariants of occurrence indices on random inputs:
 //!
-//! * the entry root covers every occurrence of the class;
+//! * the entry root covers every occurrence of the class, with and
+//!   without contraction;
 //! * each child's occurrence set is a subset of its parent's (Lemma 2 at
 //!   the index level — this is what makes the enumeration's intersections
 //!   antitone);
 //! * each label's occurrence set is exactly the set of occurrences whose
 //!   original label at that position is a (reflexive) descendant of the
-//!   label — verified directly against the embeddings.
+//!   label — verified directly against the embeddings, with and without
+//!   the frequent-label mask (under the mask, exactly the frequent
+//!   ancestors of the covered originals are present);
+//! * one [`OiScratch`] reused across classes of two runs with different
+//!   taxonomies, masks and ancestor tables builds the same indices as
+//!   fresh scratch.
+//!
+//! That contraction driven by covered-original groups matches a
+//! set-equality oracle is checked by the unit tests of `oi.rs`, where the
+//! oracle lives.
 
 use proptest::prelude::*;
-use taxogram_core::oi::{OccurrenceIndex, OiOptions};
+use taxogram_core::oi::{AncestorTable, OccurrenceIndex, OiEntry, OiOptions, OiScratch};
 use taxogram_core::relabel::relabel;
+use tsg_bitset::BitSet;
 use tsg_graph::{EdgeLabel, GraphDatabase, LabeledGraph, NodeLabel};
 use tsg_gspan::{Embedding, GSpan, GSpanConfig, Grow, MinedPattern, PatternSink};
 use tsg_taxonomy::{Taxonomy, TaxonomyBuilder};
@@ -71,6 +82,84 @@ impl PatternSink for Classes {
     }
 }
 
+const UNCONTRACTED: OiOptions = OiOptions {
+    contract_equal_sets: false,
+    predescend_roots: false,
+};
+
+/// Every pattern class of the relabeled database at `min_support`.
+fn mine_classes(
+    rel: &taxogram_core::relabel::Relabeled,
+    min_support: usize,
+) -> Vec<(LabeledGraph, Vec<Embedding>)> {
+    let mut classes = Classes { items: vec![] };
+    GSpan::new(&rel.dmg, GSpanConfig { min_support, max_edges: Some(3) }).mine(&mut classes);
+    classes.items
+}
+
+/// The concepts whose generalized support reaches `min_support`.
+fn frequent_mask(
+    rel: &taxogram_core::relabel::Relabeled,
+    db: &GraphDatabase,
+    min_support: usize,
+) -> BitSet {
+    let freqs = rel.taxonomy.generalized_label_frequencies(db);
+    let mut mask = BitSet::new(rel.taxonomy.concept_count());
+    for (i, &f) in freqs.iter().enumerate() {
+        if f >= min_support {
+            mask.insert(i);
+        }
+    }
+    mask
+}
+
+/// An entry's full observable content: root label, then every live label
+/// in interning order with its occurrences and its children's labels.
+type EntryShape = (NodeLabel, Vec<(NodeLabel, Vec<usize>, Vec<NodeLabel>)>);
+
+fn entry_shape(entry: &OiEntry) -> EntryShape {
+    let live = entry
+        .live_labels()
+        .map(|l| {
+            let id = entry.lookup(l).unwrap();
+            let kids = entry.children(id).iter().map(|&c| entry.label_of(c)).collect();
+            (l, entry.occs(id).iter().collect(), kids)
+        })
+        .collect();
+    (entry.label_of(entry.root()), live)
+}
+
+fn index_shape(oi: &OccurrenceIndex) -> (usize, Vec<u32>, usize, Vec<EntryShape>) {
+    (
+        oi.universe,
+        oi.occ_graph.clone(),
+        oi.updates,
+        oi.entries.iter().map(entry_shape).collect(),
+    )
+}
+
+/// One run's inputs to index construction.
+struct Run {
+    rel: taxogram_core::relabel::Relabeled,
+    table: AncestorTable,
+    classes: Vec<(LabeledGraph, Vec<Embedding>)>,
+}
+
+fn run(taxonomy: &Taxonomy, db: &GraphDatabase, min_support: usize, masked: bool) -> Run {
+    let rel = relabel(db, taxonomy).unwrap();
+    let mask = masked.then(|| frequent_mask(&rel, db, min_support));
+    let table = AncestorTable::for_database(&rel.taxonomy, mask, &rel.originals);
+    let classes = mine_classes(&rel, min_support);
+    Run { rel, table, classes }
+}
+
+fn arb_run_input() -> impl Strategy<Value = (Taxonomy, GraphDatabase)> {
+    arb_taxonomy(7).prop_flat_map(|t| {
+        let n = t.concept_count();
+        (Just(t), arb_db(n))
+    })
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -80,16 +169,18 @@ proptest! {
         (Just(t), arb_db(n))
     })) {
         let rel = relabel(&db, &taxonomy).unwrap();
-        let mut classes = Classes { items: vec![] };
-        GSpan::new(&rel.dmg, GSpanConfig { min_support: 1, max_edges: Some(3) })
-            .mine(&mut classes);
-        for (skeleton, embeddings) in &classes.items {
+        let table = AncestorTable::for_database(&rel.taxonomy, None, &rel.originals);
+        let contracted = OiOptions { contract_equal_sets: true, predescend_roots: true };
+        for ((skeleton, embeddings), options) in mine_classes(&rel, 1)
+            .iter()
+            .flat_map(|class| [(class, UNCONTRACTED), (class, contracted)])
+        {
             let oi = OccurrenceIndex::build(
                 embeddings,
                 &rel.originals,
                 skeleton.labels(),
-                &rel.taxonomy,
-                OiOptions { frequent: None, contract_equal_sets: false, predescend_roots: false },
+                &table,
+                options,
             );
             prop_assert_eq!(oi.universe, embeddings.len());
             prop_assert_eq!(oi.entries.len(), skeleton.node_count());
@@ -120,6 +211,94 @@ proptest! {
                             "child set must be a subset of the parent's"
                         );
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn frequent_mask_admits_exactly_the_frequent_ancestors(
+        (taxonomy, db) in arb_run_input(),
+        floor in 1usize..=3,
+    ) {
+        let min_support = floor.min(db.len());
+        let rel = relabel(&db, &taxonomy).unwrap();
+        let mask = frequent_mask(&rel, &db, min_support);
+        let table = AncestorTable::for_database(&rel.taxonomy, Some(mask.clone()), &rel.originals);
+        for (skeleton, embeddings) in &mine_classes(&rel, min_support) {
+            let oi = OccurrenceIndex::build(
+                embeddings,
+                &rel.originals,
+                skeleton.labels(),
+                &table,
+                UNCONTRACTED,
+            );
+            for (pos, entry) in oi.entries.iter().enumerate() {
+                // Present labels: exactly the frequent ancestors of the
+                // originals at this position.
+                let mut want_labels: Vec<NodeLabel> = embeddings
+                    .iter()
+                    .flat_map(|e| rel.taxonomy.ancestors(rel.originals[e.gid][e.map[pos]]).labels().collect::<Vec<_>>())
+                    .filter(|l| mask.contains(l.index()))
+                    .collect();
+                want_labels.sort_unstable();
+                want_labels.dedup();
+                let mut got_labels: Vec<NodeLabel> = entry.live_labels().collect();
+                got_labels.sort_unstable();
+                prop_assert_eq!(&got_labels, &want_labels, "labels at position {}", pos);
+                for label in entry.live_labels() {
+                    prop_assert!(mask.contains(label.index()), "infrequent label {} present", label);
+                    let got: Vec<usize> = entry.occs(entry.lookup(label).unwrap()).iter().collect();
+                    let want: Vec<usize> = embeddings
+                        .iter()
+                        .enumerate()
+                        .filter(|(_, e)| rel.taxonomy.is_ancestor(label, rel.originals[e.gid][e.map[pos]]))
+                        .map(|(i, _)| i)
+                        .collect();
+                    prop_assert_eq!(&got, &want, "label {} at position {}", label, pos);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn reused_scratch_across_runs_matches_fresh_builds(
+        (tax_a, db_a) in arb_run_input(),
+        (tax_b, db_b) in arb_run_input(),
+        contract_equal_sets in proptest::bool::ANY,
+    ) {
+        // Two runs with different taxonomies, masks and tables, their
+        // classes interleaved through one scratch and revisited: a stale
+        // slot, original or local id from the other run would show.
+        let runs = [
+            run(&tax_a, &db_a, 1, false),
+            run(&tax_b, &db_b, 2.min(db_b.len()), true),
+        ];
+        let options = OiOptions { contract_equal_sets, predescend_roots: true };
+        let mut scratch = OiScratch::new();
+        let longest = runs.iter().map(|r| r.classes.len()).max().unwrap_or(0);
+        for round in 0..2 {
+            for i in 0..longest {
+                for r in &runs {
+                    let Some((skeleton, embeddings)) = r.classes.get((i + round) % longest) else {
+                        continue;
+                    };
+                    let reused = OccurrenceIndex::build_with_scratch(
+                        embeddings,
+                        &r.rel.originals,
+                        skeleton.labels(),
+                        &r.table,
+                        options,
+                        &mut scratch,
+                    );
+                    let fresh = OccurrenceIndex::build(
+                        embeddings,
+                        &r.rel.originals,
+                        skeleton.labels(),
+                        &r.table,
+                        options,
+                    );
+                    prop_assert_eq!(index_shape(&reused), index_shape(&fresh));
                 }
             }
         }
